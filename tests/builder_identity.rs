@@ -8,9 +8,14 @@
 //! canonical JSON. The error half of the contract is pinned too: invalid
 //! knobs surface as typed [`ConfigError`]s with stable `cause_code`s at
 //! the facade level, never as silently-dropped options.
+//!
+//! The `sim`, `resilient` and `engine` outputs are also frozen as FNV-1a
+//! fingerprints (stepped digests followed by the JSONL trace) captured
+//! before every round ran on the event core.
 
 use std::sync::Arc;
 
+use fedsched::core::json::fnv1a64;
 use fedsched::core::Schedule;
 use fedsched::device::TrainingWorkload;
 use fedsched::faults::{FaultConfig, FaultInjector};
@@ -69,6 +74,21 @@ fn run_both_ways(spec: &JobSpec, schedule: &Schedule) -> ((String, String), (Str
     (direct, rewired)
 }
 
+fn assert_pinned(what: &str, (digests, jsonl): &(String, String), pin: u64) {
+    let got = fnv1a64(format!("{digests}{jsonl}").as_bytes());
+    assert_eq!(
+        got, pin,
+        "{what}: output fingerprint {got:#018x} != pinned {pin:#018x}"
+    );
+}
+
+/// Frozen `sim` target outputs for presets 1, 2 and 3.
+const SIM_PINS: [u64; 3] = [0x4ae166420f1411b9, 0x220f805a8b705012, 0x434d549d5747e824];
+/// Frozen `resilient` target outputs for presets 1, 2 and 3.
+const RESILIENT_PINS: [u64; 3] = [0xe6a39c6ddb2c6900, 0x7629dccfbc20879e, 0xe3b5cdebbf14b389];
+/// Frozen `engine` target outputs for presets 1, 2 and 3.
+const ENGINE_PINS: [u64; 3] = [0xc3b604e92d63b02d, 0x45e98c285da1914a, 0xff5bd99de693abef];
+
 #[test]
 fn builder_sim_is_bit_identical_to_wire_spec_for_every_preset() {
     for preset in 1..=3usize {
@@ -76,6 +96,11 @@ fn builder_sim_is_bit_identical_to_wire_spec_for_every_preset() {
         let schedule = uniform(preset_size(preset), 8);
         let (direct, rewired) = run_both_ways(&spec, &schedule);
         assert!(!direct.1.is_empty());
+        assert_pinned(
+            &format!("sim preset {preset}"),
+            &direct,
+            SIM_PINS[preset - 1],
+        );
         assert_eq!(direct, rewired, "preset {preset}: wire round-trip diverged");
     }
 }
@@ -95,6 +120,11 @@ fn builder_resilient_is_bit_identical_to_wire_spec_for_every_preset() {
         let schedule = uniform(preset_size(preset), 4);
         let (direct, rewired) = run_both_ways(&spec, &schedule);
         assert!(!direct.1.is_empty());
+        assert_pinned(
+            &format!("resilient preset {preset}"),
+            &direct,
+            RESILIENT_PINS[preset - 1],
+        );
         assert_eq!(direct, rewired, "preset {preset}: wire round-trip diverged");
     }
 }
@@ -108,6 +138,11 @@ fn builder_engine_is_bit_identical_to_wire_spec_for_every_preset() {
         let schedule = uniform(preset_size(preset), 6);
         let (direct, rewired) = run_both_ways(&spec, &schedule);
         assert!(!direct.1.is_empty());
+        assert_pinned(
+            &format!("engine preset {preset}"),
+            &direct,
+            ENGINE_PINS[preset - 1],
+        );
         assert_eq!(direct, rewired, "preset {preset}: wire round-trip diverged");
     }
 }

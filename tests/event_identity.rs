@@ -1,17 +1,21 @@
-//! Differential lockstep-vs-event bit-identity tests.
+//! Event-core bit-identity tests against frozen reference outputs.
 //!
-//! The discrete-event engine's contract is that *how* a round advances is
-//! invisible: draining a `(time, seq)` event queue must produce reports
-//! and telemetry byte-identical to the lockstep device scan, for every
-//! Table I testbed preset, under chaos fault plans, under adversary
-//! attack, hosted by the coordinator, and at 1, 2, 4 and 8 worker
-//! threads. CI re-runs this suite with `FEDSCHED_THREADS` forced to 4 and
-//! 8 so the default pool is exercised at several widths too.
+//! Every round runs on the discrete-event core. Before that core became
+//! the only round engine, a lockstep device scan ran the same rounds and
+//! the two were pinned byte-identical. The lockstep outputs of the
+//! scenarios below are frozen as FNV-1a fingerprints of the report
+//! `Debug` text followed by the JSONL trace; the event core must keep
+//! reproducing them for every Table I testbed preset, under chaos fault
+//! plans, under adversary attack, hosted by the coordinator, and at 1, 2,
+//! 4 and 8 worker threads. CI re-runs this suite with `FEDSCHED_THREADS`
+//! forced to 4 and 8 so the default pool is exercised at several widths
+//! too.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use fedsched::core::json::fnv1a64;
 use fedsched::core::Schedule;
 use fedsched::device::{Device, DeviceModel, Testbed, TrainingWorkload};
 use fedsched::faults::{AdversaryConfig, AttackKind, FaultConfig};
@@ -59,24 +63,40 @@ fn chaos_plan() -> FaultConfig {
         .with_churn_prob(0.05)
 }
 
-/// Run the engine with `customize`d knobs under `kind` and return
+/// FNV-1a 64 over a run's report `Debug` text followed by its JSONL
+/// trace: the frozen form of a reference output.
+fn fingerprint((report, jsonl): &(String, String)) -> u64 {
+    fnv1a64(format!("{report}{jsonl}").as_bytes())
+}
+
+fn assert_pinned(what: &str, run: &(String, String), pin: u64) {
+    let got = fingerprint(run);
+    assert_eq!(
+        got, pin,
+        "{what}: output fingerprint {got:#018x} != pinned {pin:#018x}"
+    );
+}
+
+/// Run the engine with `customize`d knobs and return
 /// `(debug-formatted report, trace bytes)`.
 fn engine_run(
     devices: Vec<Device>,
     schedule: &Schedule,
     rounds: usize,
-    kind: EngineKind,
     customize: impl FnOnce(SimBuilder) -> SimBuilder,
 ) -> (String, String) {
     let log = Arc::new(EventLog::new());
     let mut eng = customize(SimBuilder::new(devices, round_config(SEED)))
-        .engine_kind(kind)
         .probe(Probe::attached(log.clone()))
         .build_engine()
         .expect("engine config is valid");
     let report = eng.run(schedule, rounds);
     (format!("{report:?}"), log.to_jsonl())
 }
+
+/// Frozen reference outputs of the quiet `RoundSim` for testbed presets
+/// 1, 2 and 3 (10 shards per device, 3 rounds).
+const PRESET_PINS: [u64; 3] = [0x42453a7ff0dae5a1, 0x8b2970e7a36d7dff, 0xf3760e64874c2cea];
 
 #[test]
 fn every_testbed_preset_event_engine_matches_sequential_roundsim() {
@@ -85,8 +105,8 @@ fn every_testbed_preset_event_engine_matches_sequential_roundsim() {
         let n = tb.devices().len();
         let schedule = uniform(n, 10);
 
-        // Sequential quiet reference: a plain `RoundSim`.
-        let (want_timing, want_jsonl) = {
+        // Sequential quiet reference: the `RoundSim` facade.
+        let want = {
             let log = Arc::new(EventLog::new());
             let mut sim = SimBuilder::new(tb.devices().to_vec(), round_config(SEED))
                 .probe(Probe::attached(log.clone()))
@@ -95,31 +115,38 @@ fn every_testbed_preset_event_engine_matches_sequential_roundsim() {
             let report = sim.run(&schedule, 3);
             (format!("{report:?}"), log.to_jsonl())
         };
-        assert!(!want_jsonl.is_empty());
+        assert!(!want.1.is_empty());
+        assert_pinned(
+            &format!("testbed {preset} sim"),
+            &want,
+            PRESET_PINS[preset - 1],
+        );
 
         for threads in THREAD_COUNTS {
             let log = Arc::new(EventLog::new());
             let mut eng = SimBuilder::new(tb.devices().to_vec(), round_config(SEED))
                 .cohort_size(n)
                 .threads(threads)
-                .engine_kind(EngineKind::EventDriven)
                 .probe(Probe::attached(log.clone()))
                 .build_engine()
-                .expect("quiet event engine config is valid");
+                .expect("quiet engine config is valid");
             let report = eng.run(&schedule, 3);
             assert_eq!(
                 format!("{:?}", report.timing),
-                want_timing,
+                want.0,
                 "testbed {preset}, threads {threads}: timing diverged"
             );
             assert_eq!(
                 log.to_jsonl(),
-                want_jsonl,
+                want.1,
                 "testbed {preset}, threads {threads}: trace bytes diverged"
             );
         }
     }
 }
+
+/// Frozen single-threaded lockstep engine output of the chaos scenario.
+const CHAOS_ENGINE_PIN: u64 = 0xe3cf160fe36e7c2b;
 
 #[test]
 fn chaos_plan_event_engine_is_bit_identical_at_every_thread_count() {
@@ -133,31 +160,25 @@ fn chaos_plan_event_engine_is_bit_identical_at_every_thread_count() {
             .deadline(DeadlinePolicy::MeanFactor(2.0))
     };
 
-    let want = engine_run(
-        population(n, SEED),
-        &schedule,
-        rounds,
-        EngineKind::Lockstep,
-        |b| knobs(b).threads(1),
-    );
-    // The plan must actually contain faults, or this test proves nothing.
-    assert!(
-        want.1.contains("fault_injected") || want.1.contains("transfer_retry"),
-        "chaos config produced a quiet trace"
-    );
-
     for threads in THREAD_COUNTS {
-        let got = engine_run(
-            population(n, SEED),
-            &schedule,
-            rounds,
-            EngineKind::EventDriven,
-            |b| knobs(b).threads(threads),
+        let got = engine_run(population(n, SEED), &schedule, rounds, |b| {
+            knobs(b).threads(threads)
+        });
+        // The plan must actually contain faults, or this test proves nothing.
+        assert!(
+            got.1.contains("fault_injected") || got.1.contains("transfer_retry"),
+            "chaos config produced a quiet trace"
         );
-        assert_eq!(got.0, want.0, "threads {threads}: chaos report diverged");
-        assert_eq!(got.1, want.1, "threads {threads}: chaos trace diverged");
+        assert_pinned(
+            &format!("chaos engine, threads {threads}"),
+            &got,
+            CHAOS_ENGINE_PIN,
+        );
     }
 }
+
+/// Frozen lockstep `ResilientRoundSim` output with every knob engaged.
+const FULL_KNOB_PIN: u64 = 0x6ea545cc39126174;
 
 #[test]
 fn sequential_event_sim_matches_resilient_with_every_knob_engaged() {
@@ -177,7 +198,7 @@ fn sequential_event_sim_matches_resilient_with_every_knob_engaged() {
             )
     };
 
-    let (want, want_jsonl) = {
+    let resilient = {
         let log = Arc::new(EventLog::new());
         let mut sim = build(population(n, SEED))
             .probe(Probe::attached(log.clone()))
@@ -185,7 +206,7 @@ fn sequential_event_sim_matches_resilient_with_every_knob_engaged() {
             .expect("resilient config is valid");
         (format!("{:?}", sim.run(&schedule, rounds)), log.to_jsonl())
     };
-    let (got, got_jsonl) = {
+    let event = {
         let log = Arc::new(EventLog::new());
         let mut sim = build(population(n, SEED))
             .probe(Probe::attached(log.clone()))
@@ -193,9 +214,12 @@ fn sequential_event_sim_matches_resilient_with_every_knob_engaged() {
             .expect("event sim config is valid");
         (format!("{:?}", sim.run(&schedule, rounds)), log.to_jsonl())
     };
-    assert_eq!(got, want, "full-knob event report diverged");
-    assert_eq!(got_jsonl, want_jsonl, "full-knob event trace diverged");
+    assert_pinned("full-knob resilient target", &resilient, FULL_KNOB_PIN);
+    assert_pinned("full-knob event_sim target", &event, FULL_KNOB_PIN);
 }
+
+/// Frozen single-threaded lockstep engine output under attack.
+const ATTACKED_ENGINE_PIN: u64 = 0x197385eb2dd7bb51;
 
 #[test]
 fn attacked_event_engine_is_bit_identical_at_every_thread_count() {
@@ -215,36 +239,30 @@ fn attacked_event_engine_is_bit_identical_at_every_thread_count() {
             )
     };
 
-    let want = engine_run(
-        population(n, SEED),
-        &schedule,
-        rounds,
-        EngineKind::Lockstep,
-        |b| knobs(b).threads(1),
-    );
-    assert!(
-        want.1.contains("robust_aggregate"),
-        "attack preset must engage the robust layer"
-    );
-
     for threads in THREAD_COUNTS {
-        let got = engine_run(
-            population(n, SEED),
-            &schedule,
-            rounds,
-            EngineKind::EventDriven,
-            |b| knobs(b).threads(threads),
+        let got = engine_run(population(n, SEED), &schedule, rounds, |b| {
+            knobs(b).threads(threads)
+        });
+        assert!(
+            got.1.contains("robust_aggregate"),
+            "attack preset must engage the robust layer"
         );
-        assert_eq!(got.0, want.0, "threads {threads}: attacked report diverged");
-        assert_eq!(got.1, want.1, "threads {threads}: attacked trace diverged");
+        assert_pinned(
+            &format!("attacked engine, threads {threads}"),
+            &got,
+            ATTACKED_ENGINE_PIN,
+        );
     }
 }
 
+/// Frozen single-threaded lockstep engine output of the churn-free
+/// scenario the quiet churn process must leave untouched.
+const QUIET_CHURN_PIN: u64 = 0xdf890ba12824e393;
+
 /// A configured-but-quiet churn process (both rates zero) must be
-/// strictly inert: the event engine with the churn and admission knobs
-/// engaged replays the churn-free *lockstep* engine byte-for-byte at
-/// every thread count — no extra RNG draws, no extra queue events, no
-/// trace bytes.
+/// strictly inert: the engine with the churn and admission knobs engaged
+/// replays the churn-free run byte-for-byte at every thread count — no
+/// extra RNG draws, no extra queue events, no trace bytes.
 #[test]
 fn zero_rate_churn_event_engine_is_bit_identical_at_every_thread_count() {
     let n = 8;
@@ -257,48 +275,40 @@ fn zero_rate_churn_event_engine_is_bit_identical_at_every_thread_count() {
             .deadline(DeadlinePolicy::MeanFactor(2.0))
     };
 
-    let want = engine_run(
-        population(n, SEED),
-        &schedule,
-        rounds,
-        EngineKind::Lockstep,
-        |b| knobs(b).threads(1),
-    );
+    let churn_free = engine_run(population(n, SEED), &schedule, rounds, |b| {
+        knobs(b).threads(1)
+    });
+    assert_pinned("churn-free engine", &churn_free, QUIET_CHURN_PIN);
 
     for threads in THREAD_COUNTS {
-        let got = engine_run(
-            population(n, SEED),
-            &schedule,
-            rounds,
-            EngineKind::EventDriven,
-            |b| {
-                knobs(b)
-                    .threads(threads)
-                    .churn(ChurnConfig::symmetric(0.0, 60.0))
-                    .admission(AdmissionPolicy::MidRoundFill)
-            },
-        );
-        assert_eq!(
-            got.0, want.0,
-            "threads {threads}: quiet-churn report diverged"
-        );
-        assert_eq!(
-            got.1, want.1,
-            "threads {threads}: quiet-churn trace left bytes"
+        let got = engine_run(population(n, SEED), &schedule, rounds, |b| {
+            knobs(b)
+                .threads(threads)
+                .churn(ChurnConfig::symmetric(0.0, 60.0))
+                .admission(AdmissionPolicy::MidRoundFill)
+                .engine_kind(EngineKind::EventDriven)
+        });
+        assert_pinned(
+            &format!("quiet-churn engine, threads {threads}"),
+            &got,
+            QUIET_CHURN_PIN,
         );
     }
 }
 
+/// Frozen single-threaded lockstep coordinator output.
+const COORDINATOR_PIN: u64 = 0x6db657eaf175e6be;
+
 /// The coordinator resolves one global deadline against pooled
 /// predictions and pushes it into every cohort before the round runs —
-/// the event cohorts must accept it through the same `set_deadline` seam
-/// and replay the round byte-identically.
+/// the event cohorts must accept it through the `set_deadline` seam and
+/// replay the frozen round byte-identically.
 #[test]
 fn coordinator_hosts_event_cohorts_unchanged() {
     let n = 24;
     let rounds = 3;
     let schedule = uniform(n, 5);
-    let run = |kind: EngineKind, threads: usize| {
+    for threads in THREAD_COUNTS {
         let log = Arc::new(EventLog::new());
         let mut coord = SimBuilder::new(population(n, SEED), round_config(SEED))
             .cohort_size(6)
@@ -306,61 +316,64 @@ fn coordinator_hosts_event_cohorts_unchanged() {
             .faults(chaos_plan(), rounds)
             .retry(RetryPolicy::default_chaos())
             .deadline(DeadlinePolicy::MeanFactor(1.5))
-            .engine_kind(kind)
             .probe(Probe::attached(log.clone()))
             .build_coordinator()
             .expect("coordinator config is valid");
         let report = coord.run(&schedule, rounds);
-        (format!("{report:?}"), log.to_jsonl())
-    };
-
-    let want = run(EngineKind::Lockstep, 1);
-    for threads in THREAD_COUNTS {
-        let got = run(EngineKind::EventDriven, threads);
-        assert_eq!(
-            got.0, want.0,
-            "threads {threads}: coordinator report diverged"
+        let got = (format!("{report:?}"), log.to_jsonl());
+        assert_pinned(
+            &format!("coordinator, threads {threads}"),
+            &got,
+            COORDINATOR_PIN,
         );
-        assert_eq!(
-            got.1, want.1,
-            "threads {threads}: coordinator trace diverged"
+    }
+}
+
+/// Seeded `(population, cohort size, threads, seed, shards, crash %)`
+/// geometries and the frozen lockstep engine output of each.
+const GEOMETRY_PINS: [(usize, usize, usize, u64, usize, u32, u64); 8] = [
+    (1, 1, 1, 0, 1, 0, 0x7c4bcb21bd5bd494),
+    (7, 3, 2, 17, 2, 10, 0x5b0cd915fae29012),
+    (13, 5, 4, 101, 3, 34, 0x4c8d7b906577c876),
+    (19, 11, 7, 250, 1, 20, 0x1ea3a47575c02db8),
+    (24, 4, 3, 333, 2, 0, 0x7731a6979e51cc6d),
+    (31, 8, 5, 404, 3, 25, 0x2a24cd0792a3b489),
+    (36, 1, 6, 57, 1, 30, 0x5ce0ea2f34dac51f),
+    (39, 10, 2, 499, 2, 15, 0xc8b463d3479d213c),
+];
+
+/// Fixed (population, cohort size, threads, seed, fault mix) geometries:
+/// the engine's report and trace equal the frozen lockstep output
+/// exactly, including chaotic configurations with rescue.
+#[test]
+fn event_engine_matches_lockstep_for_random_geometry() {
+    let rounds = 2;
+    for (n, cohort_size, threads, seed, shards, crash_pct, pin) in GEOMETRY_PINS {
+        let schedule = uniform(n, shards);
+        let config = FaultConfig::none()
+            .with_crash_prob(f64::from(crash_pct) / 100.0)
+            .with_loss_prob(0.1);
+        let log = Arc::new(EventLog::new());
+        let report = SimBuilder::new(population(n, seed), round_config(seed))
+            .cohort_size(cohort_size)
+            .threads(threads)
+            .faults(config, rounds)
+            .retry(RetryPolicy::default_chaos())
+            .probe(Probe::attached(log.clone()))
+            .build_engine()
+            .expect("geometry config is valid")
+            .run(&schedule, rounds);
+        let got = (format!("{report:?}"), log.to_jsonl());
+        assert_pinned(
+            &format!("geometry n={n} cohort={cohort_size} threads={threads} seed={seed}"),
+            &got,
+            pin,
         );
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random (population, cohort size, threads, seed, fault mix)
-    /// geometry: the event engine's report equals the lockstep engine's
-    /// exactly, including chaotic configurations with rescue and churn.
-    #[test]
-    fn event_engine_matches_lockstep_for_random_geometry(
-        n in 1usize..40,
-        cohort_size in 1usize..12,
-        threads in 1usize..8,
-        seed in 0u64..500,
-        shards in 1usize..4,
-        crash_pct in 0u32..35,
-    ) {
-        let rounds = 2;
-        let schedule = uniform(n, shards);
-        let config = FaultConfig::none()
-            .with_crash_prob(f64::from(crash_pct) / 100.0)
-            .with_loss_prob(0.1);
-        let run = |kind: EngineKind| {
-            SimBuilder::new(population(n, seed), round_config(seed))
-                .cohort_size(cohort_size)
-                .threads(threads)
-                .faults(config.clone(), rounds)
-                .retry(RetryPolicy::default_chaos())
-                .engine_kind(kind)
-                .build_engine()
-                .expect("random geometry config is valid")
-                .run(&schedule, rounds)
-        };
-        prop_assert_eq!(run(EngineKind::EventDriven), run(EngineKind::Lockstep));
-    }
 
     /// Random churn-process geometry: for every interleaving of mid-round
     /// arrivals and departures, (a) per-round double-entry accounting

@@ -5,6 +5,7 @@
 
 use proptest::prelude::*;
 
+use fedsched::core::json::fnv1a64;
 use fedsched::core::{
     AccuracyCost, CostMatrix, EqualScheduler, FedLbap, FedMinAvg, MinAvgProblem, Schedule,
     ScheduleError, Scheduler, UserSpec,
@@ -12,9 +13,7 @@ use fedsched::core::{
 use fedsched::data::{Dataset, DatasetKind, Partition};
 use fedsched::device::{Device, DeviceModel, TrainingWorkload};
 use fedsched::faults::{FaultConfig, FaultInjector, FaultPlan};
-use fedsched::fl::{
-    fedavg_aggregate, DeadlinePolicy, FlSetup, ResilientRoundSim, RoundConfig, SimBuilder,
-};
+use fedsched::fl::{fedavg_aggregate, DeadlinePolicy, FlSetup, RoundConfig, SimBuilder};
 use fedsched::net::{Link, RetryPolicy};
 use fedsched::nn::ModelKind;
 use fedsched::profiler::LinearProfile;
@@ -155,14 +154,14 @@ fn chaos_cohort(n: usize, seed: u64) -> Vec<Device> {
         .collect()
 }
 
-fn chaos_sim(n: usize, seed: u64, injector: FaultInjector) -> ResilientRoundSim {
+/// A chaos-run builder over [`chaos_cohort`] with `injector` attached;
+/// callers add knobs and build the `resilient` target.
+fn chaos_builder(n: usize, seed: u64, injector: FaultInjector) -> SimBuilder {
     SimBuilder::new(
         chaos_cohort(n, seed),
         RoundConfig::new(TrainingWorkload::lenet(), Link::wifi_campus(), 2.5e6, seed),
     )
     .injector(injector)
-    .build_resilient()
-    .expect("chaos sim config is valid")
 }
 
 fn stormy_config() -> FaultConfig {
@@ -181,8 +180,10 @@ fn same_seed_reproduces_fault_trace_and_outcome() {
     let run = |seed: u64| {
         let injector = FaultInjector::from_config(stormy_config(), n, 4, seed);
         let fingerprint = injector.plan().fingerprint();
-        let report = chaos_sim(n, 11, injector)
-            .with_retry(RetryPolicy::default_chaos())
+        let report = chaos_builder(n, 11, injector)
+            .retry(RetryPolicy::default_chaos())
+            .build_resilient()
+            .expect("chaos sim config is valid")
             .run(&schedule, 4);
         (fingerprint, report)
     };
@@ -202,11 +203,14 @@ fn rescue_conserves_shards_every_round() {
     let schedule = Schedule::new(vec![7, 7, 6, 5, 3, 2], 100.0);
     for rescue in [true, false] {
         let injector = FaultInjector::from_config(stormy_config(), n, 5, 99);
-        let mut sim = chaos_sim(n, 21, injector).with_retry(RetryPolicy::default_chaos());
+        let mut builder = chaos_builder(n, 21, injector).retry(RetryPolicy::default_chaos());
         if !rescue {
-            sim = sim.without_rescue();
+            builder = builder.no_rescue();
         }
-        let report = sim.run(&schedule, 5);
+        let report = builder
+            .build_resilient()
+            .expect("chaos sim config is valid")
+            .run(&schedule, 5);
         for r in &report.rounds {
             assert_eq!(
                 r.completed + r.rescued + r.lost_shards,
@@ -218,18 +222,30 @@ fn rescue_conserves_shards_every_round() {
     }
 }
 
+/// FNV-1a 64 of the quiet `RoundSim` report `Debug` text followed by its
+/// JSONL trace, frozen before every round ran on the event core.
+const ZERO_FAULT_PIN: u64 = 0x38e346781650766e;
+
 #[test]
 fn zero_fault_resilient_sim_is_bit_identical_to_round_sim() {
+    use fedsched::telemetry::{EventLog, Probe};
+    use std::sync::Arc;
     let n = 4;
     let schedule = Schedule::new(vec![9, 0, 6, 4], 100.0);
     let wl = TrainingWorkload::lenet();
     let link = Link::wifi_campus();
+    let log = Arc::new(EventLog::new());
     let mut plain = SimBuilder::new(chaos_cohort(n, 3), RoundConfig::new(wl, link, 2.5e6, 3))
+        .probe(Probe::attached(log.clone()))
         .build_sim()
         .expect("quiet sim config is valid");
-    let mut resilient = chaos_sim(n, 3, FaultInjector::quiet(n));
+    let mut resilient = chaos_builder(n, 3, FaultInjector::quiet(n))
+        .build_resilient()
+        .expect("chaos sim config is valid");
     let a = plain.run(&schedule, 4);
     let b = resilient.run(&schedule, 4);
+    let got = fnv1a64(format!("{a:?}{}", log.to_jsonl()).as_bytes());
+    assert_eq!(got, ZERO_FAULT_PIN, "quiet sim output drifted: {got:#018x}");
     assert_eq!(a, b.timing, "quiet chaos run drifted from RoundSim");
     assert_eq!(b.total_lost(), 0);
     assert_eq!(b.mean_coverage(), 1.0);
@@ -267,15 +283,18 @@ proptest! {
         let plan = FaultPlan::generate(config, n, rounds, fault_seed);
         let schedule = Schedule::new(shards.clone(), 100.0);
         let scheduled_total: usize = shards.iter().sum();
-        let mut sim = chaos_sim(n, fault_seed ^ 0xABCD, FaultInjector::new(plan))
-            .with_retry(RetryPolicy::default_chaos());
+        let mut builder = chaos_builder(n, fault_seed ^ 0xABCD, FaultInjector::new(plan))
+            .retry(RetryPolicy::default_chaos());
         if let Some(d) = deadline {
-            sim = sim.with_deadline_policy(DeadlinePolicy::Fixed(d));
+            builder = builder.deadline(DeadlinePolicy::Fixed(d));
         }
         if !rescue {
-            sim = sim.without_rescue();
+            builder = builder.no_rescue();
         }
-        let report = sim.run(&schedule, rounds);
+        let report = builder
+            .build_resilient()
+            .expect("chaos sim config is valid")
+            .run(&schedule, rounds);
         prop_assert_eq!(report.rounds.len(), rounds);
         for r in &report.rounds {
             prop_assert_eq!(r.scheduled, scheduled_total);

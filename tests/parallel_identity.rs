@@ -2,16 +2,19 @@
 //!
 //! The engine's contract is that parallelism is *invisible*: for any thread
 //! count, its reports and spliced telemetry stream are byte-identical to
-//! the sequential reference — a plain [`RoundSim`] (quiet path) or
-//! [`ResilientRoundSim`] (chaos path) when one cohort covers the
-//! population, and the engine's own single-threaded run otherwise. These
-//! tests pin that differentially for every Table I testbed preset, a chaos
-//! fault plan, and a proptest sweep over random population geometries.
+//! the sequential reference — the quiet `sim` target or the `resilient`
+//! target when one cohort covers the population, and the engine's own
+//! single-threaded run otherwise. The sequential references are frozen as
+//! FNV-1a fingerprints (report `Debug` text followed by the JSONL trace)
+//! of their output before every round ran on the event core. These tests
+//! pin that for every Table I testbed preset, a chaos fault plan, and a
+//! proptest sweep over random population geometries.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use fedsched::core::json::fnv1a64;
 use fedsched::core::Schedule;
 use fedsched::device::{Device, DeviceModel, Testbed, TrainingWorkload};
 use fedsched::faults::FaultConfig;
@@ -48,7 +51,17 @@ fn uniform(n: usize, shards: usize) -> Schedule {
     Schedule::new(vec![shards; n], 100.0)
 }
 
-/// Sequential quiet reference: report + JSONL from a plain `RoundSim`.
+/// FNV-1a 64 over a run's report `Debug` text followed by its JSONL
+/// trace: the frozen form of a reference output.
+fn assert_pinned(what: &str, (report, jsonl): &(String, String), pin: u64) {
+    let got = fnv1a64(format!("{report}{jsonl}").as_bytes());
+    assert_eq!(
+        got, pin,
+        "{what}: output fingerprint {got:#018x} != pinned {pin:#018x}"
+    );
+}
+
+/// Sequential quiet reference: report + JSONL from the `RoundSim` facade.
 fn sequential_quiet(devices: Vec<Device>, schedule: &Schedule, rounds: usize) -> (String, String) {
     let log = Arc::new(EventLog::new());
     let mut sim = SimBuilder::new(devices, round_config(SEED))
@@ -78,13 +91,22 @@ fn engine_quiet(
     (format!("{:?}", report.timing), log.to_jsonl())
 }
 
+/// Frozen quiet `RoundSim` outputs for testbed presets 1, 2 and 3.
+const PRESET_PINS: [u64; 3] = [0x42453a7ff0dae5a1, 0x8b2970e7a36d7dff, 0xf3760e64874c2cea];
+
 #[test]
 fn every_testbed_preset_is_bit_identical_to_sequential_roundsim() {
     for preset in 1..=3usize {
         let tb = Testbed::by_index(preset, SEED);
         let n = tb.devices().len();
         let schedule = uniform(n, 10);
-        let (want_report, want_jsonl) = sequential_quiet(tb.devices().to_vec(), &schedule, 3);
+        let want = sequential_quiet(tb.devices().to_vec(), &schedule, 3);
+        assert_pinned(
+            &format!("testbed {preset} sim"),
+            &want,
+            PRESET_PINS[preset - 1],
+        );
+        let (want_report, want_jsonl) = want;
         assert!(!want_jsonl.is_empty());
 
         for threads in THREAD_COUNTS {
@@ -100,6 +122,9 @@ fn every_testbed_preset_is_bit_identical_to_sequential_roundsim() {
         }
     }
 }
+
+/// Frozen lockstep `ResilientRoundSim` output of the chaos scenario.
+const CHAOS_RESILIENT_PIN: u64 = 0x6f8791bf236ffe03;
 
 #[test]
 fn chaos_fault_plan_is_bit_identical_to_sequential_resilient() {
@@ -128,6 +153,7 @@ fn chaos_fault_plan_is_bit_identical_to_sequential_resilient() {
         want.1.contains("fault_injected") || want.1.contains("transfer_retry"),
         "chaos config produced a quiet trace"
     );
+    assert_pinned("chaos resilient target", &want, CHAOS_RESILIENT_PIN);
 
     for threads in THREAD_COUNTS {
         let log = Arc::new(EventLog::new());
