@@ -230,19 +230,20 @@ fn outage_arm(scale: Scale, seed: u64) -> Vec<OutagePoint> {
         let config = FaultConfig::none().with_group_outages(prob, 2, 1);
         for rescue in [false, true] {
             let log = Arc::new(EventLog::new());
-            let mut sim = SimBuilder::new(
+            let mut builder = SimBuilder::new(
                 testbed.devices().to_vec(),
                 RoundConfig::new(wl, link, bytes, seed ^ ((pi as u64) << 8)),
             )
             .faults(config.clone(), rounds)
             .retry(RetryPolicy::default_chaos())
-            .probe(Probe::attached(log.clone()))
-            .build_resilient()
-            .expect("valid outage sim config");
+            .probe(Probe::attached(log.clone()));
             if !rescue {
-                sim = sim.without_rescue();
+                builder = builder.no_rescue();
             }
-            let report = sim.run(&schedule, rounds);
+            let report = builder
+                .build_resilient()
+                .expect("valid outage sim config")
+                .run(&schedule, rounds);
             let workload = total_shards * rounds;
             let outages = log
                 .to_jsonl()

@@ -2,9 +2,9 @@
 //! 10 to 10,000 devices across worker thread counts (1M devices with the
 //! arena-backed mega arm at `--scale paper`).
 //!
-//! `--event-check` runs only the event-vs-lockstep comparison as a CI
-//! gate: report parity at 1k devices, then parity plus a wall-clock win
-//! at 10k devices under sparse participation.
+//! `--event-check` runs only the event engine's sparse-participation arm
+//! as a CI gate: the 1k- and 10k-device reports must match their pinned
+//! fingerprints (`scaleout::EVENT_PINS`).
 //!
 //! `--hier-check` runs the hierarchical-aggregation gate: flat-vs-hier
 //! byte-identity at 1k devices across thread counts, then the arena
@@ -63,26 +63,19 @@ fn main() {
         let small = scaleout::event_point(1_000, 10, 20, 42);
         assert!(
             small.parity,
-            "event engine diverged from lockstep at 1k devices"
+            "event engine diverged from its pin at 1k devices ({:#018x})",
+            small.fingerprint
         );
         let big = scaleout::event_point(10_000, 25, 100, 42);
         assert!(
             big.parity,
-            "event engine diverged from lockstep at 10k devices"
-        );
-        assert!(
-            big.speedup > 1.0,
-            "event engine must beat the lockstep scan at 10k devices \
-             (lockstep {:.2} ms, event {:.2} ms)",
-            big.lockstep_wall_s * 1e3,
-            big.event_wall_s * 1e3,
+            "event engine diverged from its pin at 10k devices ({:#018x})",
+            big.fingerprint
         );
         println!(
-            "[exp_scale] event check ok: 1k parity; 10k parity, \
-             lockstep {:.2} ms vs event {:.2} ms ({:.2}x)",
-            big.lockstep_wall_s * 1e3,
+            "[exp_scale] event check ok: 1k and 10k reports match their \
+             pinned fingerprints; 10k run {:.2} ms",
             big.event_wall_s * 1e3,
-            big.speedup,
         );
         return;
     }

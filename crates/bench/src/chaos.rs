@@ -166,7 +166,7 @@ pub fn run(scale: Scale, seed: u64) -> ChaosSweep {
         let fault_seed = seed ^ ((pi as u64 + 1) << 16);
         let injector = || FaultInjector::from_config(config.clone(), n, rounds, fault_seed);
         let sim_seed = seed ^ ((pi as u64) << 8);
-        let base_sim = |inj: FaultInjector, log: &Arc<EventLog>| {
+        let base = |inj: FaultInjector, log: &Arc<EventLog>| {
             SimBuilder::new(
                 testbed.devices().to_vec(),
                 RoundConfig::new(wl, link, bytes, sim_seed),
@@ -174,8 +174,6 @@ pub fn run(scale: Scale, seed: u64) -> ChaosSweep {
             .injector(inj)
             .retry(RetryPolicy::default_chaos())
             .probe(Probe::attached(log.clone()))
-            .build_resilient()
-            .expect("valid chaos sim config")
         };
 
         let mut arms = Vec::new();
@@ -185,19 +183,20 @@ pub fn run(scale: Scale, seed: u64) -> ChaosSweep {
                 "Deadline-Dropout" => (&drop_schedule, unscheduled),
                 _ => (&lbap_schedule, 0),
             };
-            let mut sim = match name {
-                "Fed-LBAP + rescue" => base_sim(injector(), &log),
-                "Fed-LBAP + rescue + re-plan" => base_sim(injector(), &log)
-                    .with_rescheduler(Box::new(FedLbap), RESCHEDULE_EVERY)
-                    .with_priors(&priors),
+            let builder = match name {
+                "Fed-LBAP + rescue" => base(injector(), &log),
+                "Fed-LBAP + rescue + re-plan" => base(injector(), &log)
+                    .rescheduler(Box::new(FedLbap), RESCHEDULE_EVERY)
+                    .priors(priors.clone()),
                 // The dropout server waits for missing uploads until its own
                 // deadline before closing the round (and cuts anyone who
                 // drifts past it mid-run).
-                "Deadline-Dropout" => base_sim(injector(), &log)
-                    .with_deadline_policy(DeadlinePolicy::Fixed(policy.deadline_s))
-                    .without_rescue(),
-                _ => base_sim(injector(), &log).without_rescue(),
+                "Deadline-Dropout" => base(injector(), &log)
+                    .deadline(DeadlinePolicy::Fixed(policy.deadline_s))
+                    .no_rescue(),
+                _ => base(injector(), &log).no_rescue(),
             };
+            let mut sim = builder.build_resilient().expect("valid chaos sim config");
             let report = sim.run(schedule, rounds);
             arms.push(arm_result(name, &report, total_shards, rounds, unsched));
             metrics.ingest(log.events().iter());

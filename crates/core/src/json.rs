@@ -175,10 +175,11 @@ impl JsonValue {
         }
     }
 
-    /// The value as a `u64` (a non-negative integral number).
+    /// The value as a `u64` (a non-negative integral number below 2^64).
     pub fn as_u64(&self) -> Result<u64, JsonError> {
         let v = self.as_f64()?;
-        if v >= 0.0 && v.fract() == 0.0 && v <= u64::MAX as f64 {
+        // `u64::MAX as f64` rounds up to exactly 2^64, which does not fit.
+        if v >= 0.0 && v.fract() == 0.0 && v < u64::MAX as f64 {
             Ok(v as u64)
         } else {
             Err(JsonError::shape(format!(
@@ -590,6 +591,12 @@ mod tests {
         let v = JsonValue::parse(r#"{"n":1.5,"s":"x","b":true,"a":[1]}"#).unwrap();
         assert_eq!(v.req("n").unwrap().as_f64().unwrap(), 1.5);
         assert!(v.req("n").unwrap().as_u64().is_err());
+        // 2^64 is one past `u64::MAX`: a shape error, not a saturated value.
+        let big = JsonValue::parse("18446744073709551616").unwrap();
+        assert!(big.as_u64().is_err());
+        // The largest f64 below 2^64 still decodes exactly.
+        let top = JsonValue::parse("18446744073709549568").unwrap();
+        assert_eq!(top.as_u64().unwrap(), 18_446_744_073_709_549_568);
         assert_eq!(v.req("s").unwrap().as_str().unwrap(), "x");
         assert!(v.req("s").unwrap().as_bool().is_err());
         assert_eq!(v.req("a").unwrap().as_arr().unwrap().len(), 1);

@@ -18,9 +18,8 @@
 //!
 //! The auxiliary draws are *hash-derived*, not taken from the simulation's
 //! main RNG: a fault-free configuration therefore consumes exactly the same
-//! main-RNG stream as a fault-free simulator, which is what lets
-//! `ResilientRoundSim` be bit-identical to `RoundSim` when no faults are
-//! configured.
+//! main-RNG stream as a fault-free simulator, which is what keeps a quiet
+//! run of the round engine bit-identical to the paper's plain replay.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,13 +1,10 @@
-//! The single simulated-clock vocabulary shared by the lockstep and
-//! event-driven round paths.
+//! The simulated-clock vocabulary of a round: deadline cuts, crash
+//! detection, rescue availability and admission start.
 //!
-//! Historically [`ResilientRoundSim`](crate::ResilientRoundSim) computed
-//! deadline cuts and crash-detection times inline in its per-round sweep.
-//! With a second execution path ([`EventRoundSim`](crate::EventRoundSim))
-//! replaying the same rounds from an event queue, any off-by-one between
-//! two copies of that arithmetic would surface as trace drift in the
-//! differential suites. These helpers are that arithmetic, extracted once:
-//! both paths call the same functions, so the differential tests compare a
+//! These helpers are the round's time arithmetic in one place. The phase
+//! primitives of the round state and the event queue drain of
+//! [`EventRoundSim`](crate::EventRoundSim) — the one round engine — both
+//! call them, so every instant a round schedules or reports comes from a
 //! single time source.
 //!
 //! All times are simulated seconds, relative to the round's start.

@@ -3,9 +3,8 @@
 //!
 //! [`HierEngine`] wraps a [`ParallelRoundEngine`] without touching its
 //! cohort geometry, seed derivation, or per-cohort sims — every cohort
-//! still runs the exact [`RoundSim`](crate::RoundSim) /
-//! [`ResilientRoundSim`](crate::ResilientRoundSim) /
-//! [`EventRoundSim`](crate::EventRoundSim) code paths. The hierarchy is a
+//! still runs the exact [`EventRoundSim`](crate::EventRoundSim) round
+//! engine of the flat engine. The hierarchy is a
 //! *reduction topology* layered on top: cohorts are grouped into
 //! contiguous edge spans, each edge folds its cohorts' round results with
 //! the same merge arithmetic the flat engine uses, and the server folds
@@ -59,7 +58,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use crate::cohorts::{CohortReport, EngineKind, EngineReport, ParallelRoundEngine};
+use crate::cohorts::{CohortReport, EngineReport, ParallelRoundEngine};
 use crate::resilient::RoundOutcome;
 use crate::roundsim::TimingReport;
 
@@ -312,11 +311,6 @@ impl HierEngine {
     /// Rounds simulated so far across all `run` calls.
     pub fn rounds_done(&self) -> usize {
         self.engine.rounds_done()
-    }
-
-    /// Per-cohort engine kind.
-    pub fn engine_kind(&self) -> EngineKind {
-        self.engine.engine_kind()
     }
 
     /// The edge→server backhaul link, if one is configured.

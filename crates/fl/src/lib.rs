@@ -1,16 +1,18 @@
 //! The federated-learning runtime: FedAvg aggregation, simulated cohorts,
-//! and the two execution paths the evaluation needs.
+//! one round engine for time and one trainer for accuracy.
 //!
 //! The paper's experiments decompose cleanly into *time* and *accuracy*:
 //!
-//! * [`roundsim::RoundSim`] replays a schedule against the device simulator
-//!   and link models to measure wall-clock round times (Figs. 5 and 7,
-//!   Table II) — no actual ML runs, so 50-round sweeps cost milliseconds.
-//!   Device thermal state persists across rounds, exactly like the paper's
-//!   continuously-training phones. [`resilient::ResilientRoundSim`] layers a
-//!   fault model on top — crashes, churn, lossy links, retries, deadlines
-//!   and mid-round straggler rescue — while staying bit-identical to
-//!   `RoundSim` when no faults are configured.
+//! * [`eventsim::EventRoundSim`] is the one round engine. It replays a
+//!   schedule against the device simulator and link models to measure
+//!   simulated round times (Figs. 5 and 7, Table II) — no actual ML runs,
+//!   so 50-round sweeps cost milliseconds. Device thermal state persists
+//!   across rounds, exactly like the paper's continuously-training
+//!   phones. A fault model rides on the same core — crashes, churn, lossy
+//!   links, retries, deadlines and mid-round straggler rescue — and a
+//!   quiet run is timing-identical to the paper's plain replay, which
+//!   [`roundsim::RoundSim`] exposes as a quiet facade. The parallel,
+//!   coordinated and hierarchical engines run one per cohort.
 //! * [`engine`] actually trains: synchronous FedAvg over `fedsched-nn`
 //!   networks on partitioned synthetic data (Figs. 2, 3 and 6, Tables III
 //!   and V). Clients train in parallel on scoped threads; aggregation is
@@ -55,7 +57,7 @@ pub use eventsim::{AdmissionPolicy, EventRoundSim};
 pub use gossip::{GossipOutcome, GossipSetup, Topology};
 pub use hier::{derive_edge_seed, edge_cohort_ranges, EdgeReport, HierEngine, HierReport};
 pub use metrics::{analyze_round, cosine_similarity, DivergenceReport};
-pub use resilient::{ChaosReport, ResilientRoundSim, RoundOutcome};
+pub use resilient::{ChaosReport, RoundOutcome};
 pub use roundsim::{RoundSim, TimingReport};
 pub use secure::{mask_update, secure_fedavg, unmask_sum};
 pub use server::fedavg_aggregate;

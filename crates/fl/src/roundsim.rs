@@ -4,14 +4,16 @@
 //! no actual ML needs to run — the round time of a synchronous FL epoch is
 //! `max_j (T_j^c(D_j) + T_j^u(M) + T_j^d(M))`, with computation produced by
 //! the thermal-aware device model and communication by the link model.
+//! [`RoundSim`] is the quiet facade over the one round engine,
+//! [`EventRoundSim`]: no faults, no deadline, timing only.
 
 use fedsched_core::Schedule;
 use fedsched_device::{Device, TrainingWorkload};
 use fedsched_net::Link;
-use fedsched_telemetry::{Event, Probe};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use fedsched_telemetry::Probe;
 use serde::Serialize;
+
+use crate::eventsim::EventRoundSim;
 
 /// Timing statistics over simulated rounds.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -40,140 +42,45 @@ impl TimingReport {
     }
 }
 
-/// Replays schedules against a device cohort.
-#[derive(Debug)]
+/// Replays schedules against a device cohort: the quiet facade over
+/// [`EventRoundSim`], reporting timing only.
 pub struct RoundSim {
-    devices: Vec<Device>,
-    workload: TrainingWorkload,
-    link: Link,
-    model_bytes: f64,
-    rng: StdRng,
-    probe: Probe,
-    /// Rounds simulated so far, across `run` calls — keeps event round
-    /// indices globally monotone on one timeline.
-    rounds_done: usize,
+    inner: EventRoundSim,
 }
 
 impl RoundSim {
-    /// Positional constructor backing the
-    /// [`SimBuilder`](crate::SimBuilder), the only public construction
-    /// path (the `new` shim was removed with the job-spec API).
-    pub(crate) fn from_parts(
-        devices: Vec<Device>,
-        workload: TrainingWorkload,
-        link: Link,
-        model_bytes: f64,
-        seed: u64,
-    ) -> Self {
-        RoundSim {
-            devices,
-            workload,
-            link,
-            model_bytes,
-            rng: StdRng::seed_from_u64(seed),
-            probe: Probe::disabled(),
-            rounds_done: 0,
-        }
-    }
-
-    /// Attach a telemetry probe (builder form). The simulator emits
-    /// `round_start` / `user_span` / `round_end` events, and every device
-    /// in the cohort emits its own thermal/battery events through the same
-    /// probe.
-    pub fn with_probe(mut self, probe: Probe) -> Self {
-        for d in &mut self.devices {
-            d.set_probe(probe.clone());
-        }
-        self.probe = probe;
-        self
+    /// Wrap a quiet event core; built by
+    /// [`SimBuilder::build_sim`](crate::SimBuilder::build_sim), the only
+    /// public construction path.
+    pub(crate) fn new(inner: EventRoundSim) -> Self {
+        RoundSim { inner }
     }
 
     /// Number of devices.
     pub fn n_devices(&self) -> usize {
-        self.devices.len()
+        self.inner.n_devices()
     }
 
     /// Borrow the devices (e.g. to inspect battery drain afterwards).
     pub fn devices(&self) -> &[Device] {
-        &self.devices
+        self.inner.devices()
     }
 
     /// Simulate `rounds` synchronous rounds under `schedule`. Device
     /// thermal state persists across rounds (continuous training); call
-    /// [`RoundSim::cool_down`] between experiments.
+    /// [`RoundSim::cool_down`] between experiments. With a probe attached
+    /// the rounds emit `round_start` / `user_span` / `round_end`, and every
+    /// device emits its own thermal/battery events.
     ///
     /// # Panics
     /// Panics if the schedule's user count differs from the cohort size.
     pub fn run(&mut self, schedule: &Schedule, rounds: usize) -> TimingReport {
-        assert_eq!(
-            schedule.shards.len(),
-            self.devices.len(),
-            "schedule/cohort size mismatch"
-        );
-        let n = self.devices.len();
-        let mut per_round = Vec::with_capacity(rounds);
-        let mut user_totals = vec![0.0f64; n];
-        let mut straggler_comm = 0.0f64;
-
-        let participants = schedule.shards.iter().filter(|&&k| k > 0).count();
-        for _ in 0..rounds {
-            let round = self.rounds_done;
-            self.probe.emit(|| Event::RoundStart {
-                round,
-                n_users: participants,
-            });
-            let mut worst = 0.0f64;
-            let mut worst_comm = 0.0f64;
-            let mut straggler = 0usize;
-            for (j, device) in self.devices.iter_mut().enumerate() {
-                let samples = (schedule.shards[j] as f64 * schedule.shard_size) as usize;
-                if samples == 0 {
-                    continue;
-                }
-                let comm = self
-                    .link
-                    .sample_round_seconds(self.model_bytes, &mut self.rng);
-                let compute = device.train_samples(&self.workload, samples);
-                self.probe.emit(|| Event::UserSpan {
-                    round,
-                    user: j,
-                    compute_s: compute,
-                    comm_s: comm,
-                });
-                let total = comm + compute;
-                user_totals[j] += total;
-                if total > worst {
-                    worst = total;
-                    worst_comm = comm;
-                    straggler = j;
-                }
-            }
-            self.probe.emit(|| Event::RoundEnd {
-                round,
-                makespan_s: worst,
-                straggler,
-            });
-            per_round.push(worst);
-            straggler_comm += if worst > 0.0 { worst_comm / worst } else { 0.0 };
-            self.rounds_done += 1;
-        }
-
-        TimingReport {
-            per_round_makespan: per_round,
-            per_user_mean: user_totals.iter().map(|t| t / rounds as f64).collect(),
-            comm_fraction: if rounds == 0 {
-                0.0
-            } else {
-                straggler_comm / rounds as f64
-            },
-        }
+        self.inner.run(schedule, rounds).timing
     }
 
     /// Reset every device's thermal state (between experiment arms).
     pub fn cool_down(&mut self) {
-        for d in &mut self.devices {
-            d.cool_down();
-        }
+        self.inner.cool_down();
     }
 }
 
@@ -184,10 +91,9 @@ impl RoundSim {
 /// the event log of the real simulation is perturbed. Idle users predict
 /// `0.0`.
 ///
-/// This is the pooling input for [`DeadlinePolicy`](fedsched_core::DeadlinePolicy)
-/// resolution — both the per-cohort resolution inside
-/// [`ResilientRoundSim`](crate::ResilientRoundSim) and the population-wide
-/// pooling in [`Coordinator`](crate::Coordinator).
+/// This is the pooling input for the population-wide
+/// [`DeadlinePolicy`](fedsched_core::DeadlinePolicy) resolution in
+/// [`Coordinator`](crate::Coordinator).
 pub fn predict_round_times(
     devices: &[Device],
     workload: &TrainingWorkload,
@@ -212,7 +118,7 @@ pub fn predict_round_times(
 /// per-round expectation) plus speculative training of `samples` on a
 /// clone of the device. Idle users (`samples == 0`) predict `0.0`.
 ///
-/// Shared by [`predict_round_times`] and the event-driven engine's
+/// Shared by [`predict_round_times`] and the round engine's
 /// active-set-only deadline resolution, so both resolve deadlines from
 /// the same per-user predictor.
 pub fn predict_user_time(
@@ -234,17 +140,25 @@ pub fn predict_user_time(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::{RoundConfig, SimBuilder};
     use fedsched_device::{DeviceModel, Testbed};
+    use fedsched_telemetry::Event;
+
+    fn build(devices: Vec<Device>, link: Link, seed: u64, probe: Probe) -> RoundSim {
+        let config = RoundConfig::new(TrainingWorkload::lenet(), link, 2.5e6, seed);
+        SimBuilder::new(devices, config)
+            .probe(probe)
+            .build_sim()
+            .unwrap()
+    }
+
+    fn sim_with(seed: u64, probe: Probe) -> RoundSim {
+        let devices = Testbed::testbed_1(seed).devices().to_vec();
+        build(devices, Link::new(100.0, 100.0, 0.0, 0.0), seed, probe)
+    }
 
     fn sim(seed: u64) -> RoundSim {
-        let tb = Testbed::testbed_1(seed);
-        RoundSim::from_parts(
-            tb.devices().to_vec(),
-            TrainingWorkload::lenet(),
-            Link::new(100.0, 100.0, 0.0, 0.0),
-            2.5e6,
-            seed,
-        )
+        sim_with(seed, Probe::disabled())
     }
 
     #[test]
@@ -290,12 +204,11 @@ mod tests {
     #[test]
     fn comm_fraction_is_small_for_lenet_wifi() {
         // Paper Observation 3: ~5% average comm share.
-        let mut s = RoundSim::from_parts(
+        let mut s = build(
             Testbed::testbed_1(4).devices().to_vec(),
-            TrainingWorkload::lenet(),
             Link::wifi_campus(),
-            2.5e6,
             4,
+            Probe::disabled(),
         );
         let report = s.run(&Schedule::new(vec![10, 10, 10], 100.0), 3);
         assert!(report.comm_fraction < 0.10, "{}", report.comm_fraction);
@@ -305,12 +218,11 @@ mod tests {
     #[test]
     fn thermal_state_persists_across_rounds() {
         // A Nexus6P-only cohort slows down in later rounds as it heats.
-        let mut s = RoundSim::from_parts(
+        let mut s = build(
             vec![Device::from_model(DeviceModel::Nexus6P, 5)],
-            TrainingWorkload::lenet(),
             Link::new(1000.0, 1000.0, 0.0, 0.0),
-            2.5e6,
             5,
+            Probe::disabled(),
         );
         let report = s.run(&Schedule::new(vec![20], 100.0), 5);
         let first = report.per_round_makespan[0];
@@ -323,7 +235,7 @@ mod tests {
         use fedsched_telemetry::EventLog;
         use std::sync::Arc;
         let log = Arc::new(EventLog::new());
-        let mut s = sim(9).with_probe(Probe::attached(log.clone()));
+        let mut s = sim_with(9, Probe::attached(log.clone()));
         let report = s.run(&Schedule::new(vec![10, 0, 10], 100.0), 2);
 
         let events = log.events();
@@ -392,9 +304,7 @@ mod tests {
         use std::sync::Arc;
         let schedule = Schedule::new(vec![10, 10, 10], 100.0);
         let plain = sim(12).run(&schedule, 2);
-        let probed = sim(12)
-            .with_probe(Probe::attached(Arc::new(EventLog::new())))
-            .run(&schedule, 2);
+        let probed = sim_with(12, Probe::attached(Arc::new(EventLog::new()))).run(&schedule, 2);
         assert_eq!(plain, probed, "observation must not perturb timing");
     }
 

@@ -2,7 +2,7 @@
 //! faults, with and without mid-round straggler rescue.
 //!
 //! A seeded [`FaultPlan`] decrees crashes, churn, lossy transfers and CPU
-//! contention; the `ResilientRoundSim` retries transfers, detects dead
+//! contention; the `resilient` simulator retries transfers, detects dead
 //! users and reassigns their shards to survivors. The run is fully
 //! deterministic: the same seed replays the same chaos, byte for byte.
 //!

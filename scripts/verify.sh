@@ -50,6 +50,9 @@ fi
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test -q --workspace (crate unit tests + bench paper-claim smoke tests)"
+cargo test -q --workspace
+
 echo "==> chaos suite (pinned seed: fault invariants + replay determinism)"
 cargo test -q --test failure_injection
 cargo test -q -p fedsched-faults
@@ -81,7 +84,7 @@ cargo test -q --test robust_identity
 FEDSCHED_THREADS=4 cargo test -q --test robust_identity
 FEDSCHED_THREADS=8 cargo test -q --test robust_identity
 
-echo "==> event engine suite (lockstep-vs-event bit identity)"
+echo "==> event engine suite (event core vs pinned parent fingerprints)"
 cargo test -q -p fedsched-core events
 cargo test -q -p fedsched-fl eventsim
 cargo test -q --test event_identity
@@ -121,7 +124,7 @@ echo "==> scale smoke (engine speedup sweep + makespan parity)"
 cargo test -q -p fedsched-bench scaleout
 
 if [[ "$QUICK" -eq 0 ]]; then
-  echo "==> event engine scale smoke (parity at 1k, wall-clock win at 10k)"
+  echo "==> event engine scale smoke (1k and 10k reports vs pinned parent fingerprints)"
   cargo run -q --release -p fedsched-bench --bin exp_scale -- --event-check
   echo "==> hierarchy scale smoke (parity at 1k; arena-vs-hier + budgets at 100k)"
   cargo run -q --release -p fedsched-bench --bin exp_scale -- --hier-check
