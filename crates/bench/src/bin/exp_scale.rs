@@ -8,7 +8,7 @@
 //!
 //! `--hier-check` runs the hierarchical-aggregation gate: flat-vs-hier
 //! byte-identity at 1k devices across thread counts, then the arena
-//! sweep against the real `HierEngine` at 100k devices under wall-clock
+//! sweep against the real `hier` target at 100k devices under wall-clock
 //! and peak-RSS budgets.
 use std::time::Instant;
 
@@ -29,7 +29,7 @@ fn main() {
         let start = Instant::now();
         assert!(
             scaleout::mega_matches_hier(100_000, 250, 10, 42),
-            "arena sweep diverged from HierEngine at 100k devices"
+            "arena sweep diverged from the hier target at 100k devices"
         );
         let wall_s = start.elapsed().as_secs_f64();
         assert!(

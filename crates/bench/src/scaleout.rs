@@ -30,7 +30,7 @@ use fedsched_fl::{
 };
 use fedsched_net::{model_transfer_bytes, Link};
 use fedsched_profiler::ModelArch;
-use fedsched_telemetry::{NullRecorder, Probe};
+use fedsched_telemetry::{EventLog, NullRecorder, Probe};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -145,10 +145,9 @@ pub const EVENT_PINS: [(usize, usize, usize, u64, u64); 3] = [
     (10_000, 25, 100, 42, 0x73d5_d843_c106_8aa9),
 ];
 
-/// Flat-vs-hierarchical parity at one population size: the two-tier
-/// [`HierEngine`](fedsched_fl::HierEngine) in its default one-edge-per-
-/// cohort topology must reproduce the flat engine's report byte for byte
-/// at every thread count.
+/// Flat-vs-hierarchical parity at one population size: the `hier` target
+/// in its default one-edge-per-cohort topology must reproduce the flat
+/// engine's report byte for byte at every thread count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierParityPoint {
     /// Devices simulated.
@@ -168,8 +167,8 @@ pub struct HierParityPoint {
 
 /// The million-device arm: an arena-backed quiet sweep over a sparse
 /// active set, replicating the engine's per-cohort arithmetic exactly
-/// (see [`mega_run`]) so it stays differential-testable against
-/// [`HierEngine`](fedsched_fl::HierEngine) at small n.
+/// (see [`mega_run`]) so it stays differential-testable against the
+/// `hier` target at small n.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MegaScalePoint {
     /// Devices in the population.
@@ -301,22 +300,36 @@ pub fn coordination_point(n: usize, seed: u64, rounds: usize) -> CoordinationPoi
     let global_report = global.run(&schedule, rounds);
 
     // Arm 3: no barrier at all — buffered staleness-weighted aggregation.
+    // The merge ledger is the `async_merge` event stream.
+    let ledger = Arc::new(EventLog::new());
     let mut buffered = builder()
         .buffered_async((cohorts / 2).max(1), ASYNC_ETA)
+        .probe(Probe::attached(ledger.clone()))
         .build_coordinator()
         .expect("buffered-async coordinator config is valid");
     let async_report = buffered.run(&schedule, rounds);
+    // Nobody waits in async mode: the span is the slowest cohort's own
+    // busy time.
+    let async_span_s = async_report
+        .cohorts
+        .iter()
+        .map(|c| c.timing.per_round_makespan.iter().sum::<f64>())
+        .fold(0.0, f64::max);
 
     CoordinationPoint {
         population: n,
         cohorts,
         per_cohort_makespan_s: per_report.timing.per_round_makespan.iter().sum(),
         per_cohort_lost: per_report.total_lost(),
-        global_makespan_s: global_report.span_s,
+        global_makespan_s: global_report.timing.per_round_makespan.iter().sum(),
         global_lost: global_report.total_lost(),
-        async_span_s: async_report.span_s,
+        async_span_s,
         async_lost: async_report.total_lost(),
-        async_merges: async_report.merges.len(),
+        async_merges: ledger
+            .events()
+            .iter()
+            .filter(|e| e.kind() == "async_merge")
+            .count(),
     }
 }
 
@@ -370,7 +383,7 @@ pub fn event_point(n: usize, active: usize, rounds: usize, seed: u64) -> EventEn
 }
 
 /// Measure flat-vs-hierarchical byte-identity at one population size:
-/// the default one-edge-per-cohort [`HierEngine`] against the flat
+/// the default one-edge-per-cohort `hier` target against the flat
 /// engine's single-threaded baseline, at every requested thread count.
 pub fn hier_point(n: usize, seed: u64, rounds: usize, thread_counts: &[usize]) -> HierParityPoint {
     let schedule = Schedule::new(vec![SHARDS_PER_DEVICE; n], SHARD_SIZE);
@@ -495,8 +508,8 @@ fn sweep_cohort(
 /// The arena-backed quiet sweep: the engine's cohort geometry, seed
 /// derivation, per-cohort round loop and merge fold replicated over a
 /// [`DeviceArena`], touching only devices that hold shards. The output is
-/// engine-shaped and byte-identical to a real [`HierEngine`] /
-/// flat-engine run of the same scenario — `mega_matches_hier` and the
+/// engine-shaped and byte-identical to a real `hier` or `engine` run of
+/// the same scenario — `mega_matches_hier` and the
 /// differential suite pin that — while the resident population stays at
 /// tens of bytes per pristine device, which is what lets the sweep reach
 /// a million devices.
@@ -629,8 +642,8 @@ pub fn mega_run(n: usize, active: usize, rounds: usize, seed: u64) -> MegaRun {
 }
 
 /// Differential gate for the mega sweep: run the same sparse scenario
-/// through the real two-tier [`HierEngine`] (scalar devices, default
-/// parity topology) and demand byte-identical timing and outcomes.
+/// through the real `hier` target (scalar devices, default parity
+/// topology) and demand byte-identical timing and outcomes.
 pub fn mega_matches_hier(n: usize, active: usize, rounds: usize, seed: u64) -> bool {
     let mega = mega_run(n, active, rounds, seed);
     let mut hier = SimBuilder::new(

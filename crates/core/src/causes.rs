@@ -21,8 +21,6 @@
 pub const ZERO_COHORT_SIZE: &str = "zero_cohort_size";
 /// Thread count of zero.
 pub const ZERO_THREADS: &str = "zero_threads";
-/// A knob was set after the simulation already ran rounds.
-pub const CONFIGURED_AFTER_RUN: &str = "configured_after_run";
 /// An empty shard assignment.
 pub const EMPTY_ASSIGNMENT: &str = "empty_assignment";
 /// A non-positive or non-finite round deadline.
@@ -62,7 +60,6 @@ pub const INVALID_SELECTION: &str = "invalid_selection";
 pub const ALL_CAUSE_CODES: &[&str] = &[
     ZERO_COHORT_SIZE,
     ZERO_THREADS,
-    CONFIGURED_AFTER_RUN,
     EMPTY_ASSIGNMENT,
     INVALID_DEADLINE,
     INVALID_SOC_FLOOR,
@@ -117,7 +114,6 @@ mod tests {
             &[
                 "zero_cohort_size",
                 "zero_threads",
-                "configured_after_run",
                 "empty_assignment",
                 "invalid_deadline",
                 "invalid_soc_floor",

@@ -41,7 +41,6 @@ pub mod exact;
 pub mod json;
 pub mod lbap;
 pub mod minavg;
-pub mod privacy;
 pub mod schedule;
 
 pub use acc::AccuracyCost;

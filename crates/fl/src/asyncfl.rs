@@ -21,8 +21,8 @@ use serde::Serialize;
 
 /// FedAsync staleness discount: the effective mixing weight of an update
 /// that is `staleness` server versions old, given base rate `eta`. Shared
-/// by [`AsyncFlSetup`] and the coordinator's buffered-async merge
-/// ([`Coordinator`](crate::Coordinator)) so both paths discount identically.
+/// by [`AsyncFlSetup`] and the population engine's buffered-async stage
+/// (the `coordinator` target) so both paths discount identically.
 pub fn staleness_weight(eta: f64, staleness: usize) -> f64 {
     eta / (1.0 + staleness as f64)
 }

@@ -199,8 +199,8 @@ impl EventRoundSim {
     }
 
     /// Overwrite the deadline for the next rounds with an
-    /// already-resolved cutoff (or clear it) — the
-    /// [`Coordinator`](crate::Coordinator) hook.
+    /// already-resolved cutoff (or clear it) — the hook of the population
+    /// engine's global-deadline stage.
     ///
     /// # Panics
     /// Panics on `Some` of a non-positive or non-finite deadline.

@@ -454,7 +454,7 @@ impl ResilientRoundSim {
 
     /// Overwrite the deadline for the *next* rounds with an
     /// already-resolved cutoff (or clear it). This is the coordination
-    /// hook: [`Coordinator`](crate::Coordinator) resolves one global
+    /// hook: the engine's global-deadline stage resolves one global
     /// deadline from population-pooled predictions and pushes it into every
     /// cohort before the cohorts run.
     pub fn set_deadline(&mut self, deadline_s: Option<f64>) {

@@ -93,7 +93,7 @@ impl RoundSim {
 ///
 /// This is the pooling input for the population-wide
 /// [`DeadlinePolicy`](fedsched_core::DeadlinePolicy) resolution in
-/// [`Coordinator`](crate::Coordinator).
+/// the population engine's global-deadline stage.
 pub fn predict_round_times(
     devices: &[Device],
     workload: &TrainingWorkload,

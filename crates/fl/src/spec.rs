@@ -37,9 +37,7 @@ use fedsched_telemetry::Probe;
 
 use crate::builder::{AsyncOptions, ConfigError, RoundConfig, Selection, SimBuilder};
 use crate::cohorts::{EngineKind, ParallelRoundEngine};
-use crate::coordinator::Coordinator;
 use crate::eventsim::{AdmissionPolicy, EventRoundSim};
-use crate::hier::HierEngine;
 use crate::roundsim::RoundSim;
 
 /// Wire-format version stamped into every encoded spec. Bump on any
@@ -66,9 +64,10 @@ pub enum BuildTarget {
     EventSim,
     /// [`SimBuilder::build_engine`] — the parallel cohort engine.
     Engine,
-    /// [`SimBuilder::build_coordinator`] — engine plus control loop.
+    /// [`SimBuilder::build_coordinator`] — the cohort engine with a
+    /// pooled global deadline or buffered-async merging.
     Coordinator,
-    /// [`SimBuilder::build_hier`] — the two-tier hierarchical engine.
+    /// [`SimBuilder::build_hier`] — the cohort engine with an edge tier.
     Hier,
 }
 
@@ -597,8 +596,8 @@ impl JobSpec {
             BuildTarget::Resilient => SimKind::Event(builder.build_resilient()?),
             BuildTarget::EventSim => SimKind::Event(builder.build_event_sim()?),
             BuildTarget::Engine => SimKind::Engine(builder.build_engine()?),
-            BuildTarget::Coordinator => SimKind::Coordinator(builder.build_coordinator()?),
-            BuildTarget::Hier => SimKind::Hier(builder.build_hier()?),
+            BuildTarget::Coordinator => SimKind::Engine(builder.build_coordinator()?),
+            BuildTarget::Hier => SimKind::Engine(builder.build_hier()?),
         };
         Ok(BuiltSim {
             sim,
@@ -747,9 +746,8 @@ enum SimKind {
     Sim(RoundSim),
     /// The `resilient` and `event_sim` targets.
     Event(EventRoundSim),
+    /// The `engine`, `coordinator` and `hier` targets.
     Engine(ParallelRoundEngine),
-    Coordinator(Coordinator),
-    Hier(HierEngine),
 }
 
 /// A live simulator built from a [`JobSpec`], stepped one global round at
@@ -781,17 +779,6 @@ impl BuiltSim {
                 (report.timing.per_round_makespan[0], format!("{report:?}"))
             }
             SimKind::Engine(engine) => {
-                let report = engine.run(schedule, 1);
-                (report.timing.per_round_makespan[0], format!("{report:?}"))
-            }
-            SimKind::Coordinator(coordinator) => {
-                let report = coordinator.run(schedule, 1);
-                (
-                    report.engine.timing.per_round_makespan[0],
-                    format!("{report:?}"),
-                )
-            }
-            SimKind::Hier(engine) => {
                 let report = engine.run(schedule, 1);
                 (report.timing.per_round_makespan[0], format!("{report:?}"))
             }

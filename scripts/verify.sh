@@ -66,13 +66,13 @@ echo "==> parallel identity suite (forced multi-worker pool)"
 FEDSCHED_THREADS=4 cargo test -q --test parallel_identity
 FEDSCHED_THREADS=8 cargo test -q --test parallel_identity
 
-echo "==> builder + coordinator differential suite (default worker pool)"
+echo "==> builder + population-stage differential suite (default worker pool)"
 cargo test -q --test builder_identity
 cargo test -q --test coordinator_identity
 cargo test -q -p fedsched-fl builder
-cargo test -q -p fedsched-fl coordinator
+cargo test -q -p fedsched-fl stages
 
-echo "==> builder + coordinator differential suite (forced multi-worker pool)"
+echo "==> builder + population-stage differential suite (forced multi-worker pool)"
 FEDSCHED_THREADS=4 cargo test -q --test builder_identity
 FEDSCHED_THREADS=4 cargo test -q --test coordinator_identity
 FEDSCHED_THREADS=8 cargo test -q --test builder_identity
@@ -99,8 +99,8 @@ FEDSCHED_THREADS=8 cargo test -q --test event_identity churn
 cargo test -q --test golden_trace churn
 cargo test -q -p fedsched-bench churn
 
-echo "==> hierarchy suite (flat-vs-hier bit identity + arena + topology proptests)"
-cargo test -q -p fedsched-fl hier
+echo "==> edge-tier suite (flat-vs-hier bit identity + arena + topology proptests)"
+cargo test -q -p fedsched-fl tier
 cargo test -q -p fedsched-device arena
 cargo test -q --test hier_identity
 FEDSCHED_THREADS=4 cargo test -q --test hier_identity

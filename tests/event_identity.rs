@@ -20,11 +20,11 @@ use fedsched::core::Schedule;
 use fedsched::device::{Device, DeviceModel, Testbed, TrainingWorkload};
 use fedsched::faults::{AdversaryConfig, AttackKind, FaultConfig};
 use fedsched::fl::{
-    AdmissionPolicy, AggregatorKind, ChurnConfig, DeadlinePolicy, EngineKind, RoundConfig,
-    SimBuilder,
+    AdmissionPolicy, AggregatorKind, ChurnConfig, DeadlinePolicy, EngineKind, EngineReport,
+    RoundConfig, SimBuilder,
 };
 use fedsched::net::{Link, RetryPolicy};
-use fedsched::telemetry::{EventLog, Probe};
+use fedsched::telemetry::{Event, EventLog, Probe};
 
 const SEED: u64 = 2020;
 const MODEL_BYTES: f64 = 2.5e6;
@@ -299,6 +299,52 @@ fn zero_rate_churn_event_engine_is_bit_identical_at_every_thread_count() {
 /// Frozen single-threaded lockstep coordinator output.
 const COORDINATOR_PIN: u64 = 0x6db657eaf175e6be;
 
+/// The coordinator report text the pin froze, rebuilt from the engine
+/// report plus the coordination events: per round, the deadline of its
+/// `global_deadline_set` and the cohorts of its `cohort_straggling`
+/// events, then the barrier span (the sum of round makespans).
+fn coordinator_text(report: &EngineReport, events: &[Event]) -> String {
+    let deadlines: Vec<Option<f64>> = events
+        .iter()
+        .filter_map(|e| match e {
+            Event::GlobalDeadlineSet { deadline_s, .. } => Some(*deadline_s),
+            _ => None,
+        })
+        .collect();
+    let rounds: Vec<String> = report
+        .rounds
+        .iter()
+        .enumerate()
+        .map(|(r, outcome)| {
+            let straggling: Vec<usize> = events
+                .iter()
+                .filter_map(|e| match e {
+                    Event::CohortStraggling { round, cohort, .. } if *round == outcome.round => {
+                        Some(*cohort)
+                    }
+                    _ => None,
+                })
+                .collect();
+            let makespans: Vec<f64> = report
+                .cohorts
+                .iter()
+                .map(|c| c.timing.per_round_makespan[r])
+                .collect();
+            format!(
+                "GlobalRoundOutcome {{ outcome: {outcome:?}, deadline_s: {:?}, \
+                 straggling_cohorts: {straggling:?}, cohort_makespans: {makespans:?} }}",
+                deadlines[r]
+            )
+        })
+        .collect();
+    let span_s: f64 = report.timing.per_round_makespan.iter().sum();
+    format!(
+        "CoordinatorReport {{ engine: {report:?}, global_rounds: [{}], merges: [], \
+         span_s: {span_s:?} }}",
+        rounds.join(", ")
+    )
+}
+
 /// The coordinator resolves one global deadline against pooled
 /// predictions and pushes it into every cohort before the round runs —
 /// the event cohorts must accept it through the `set_deadline` seam and
@@ -320,7 +366,7 @@ fn coordinator_hosts_event_cohorts_unchanged() {
             .build_coordinator()
             .expect("coordinator config is valid");
         let report = coord.run(&schedule, rounds);
-        let got = (format!("{report:?}"), log.to_jsonl());
+        let got = (coordinator_text(&report, &log.events()), log.to_jsonl());
         assert_pinned(
             &format!("coordinator, threads {threads}"),
             &got,

@@ -492,10 +492,11 @@ fn golden_scenarios_replay_byte_identical_through_event_path() {
 }
 
 /// The default hierarchical topology (one edge per cohort, no backhaul,
-/// FedAvg tiers) is *trivial*: it emits no hierarchy events and its
-/// underlying cohorts are the flat engine verbatim, so every pre-existing
-/// golden scenario must replay byte-identically through [`HierEngine`] —
-/// extending the golden guarantee to the hierarchy without new snapshots.
+/// FedAvg tiers) is *trivial*: it runs no edge tier, so it emits no
+/// hierarchy events and its cohorts are the flat engine verbatim. Every
+/// pre-existing golden scenario must replay byte-identically through the
+/// `hier` target — extending the golden guarantee to the hierarchy without
+/// new snapshots.
 #[test]
 fn golden_scenarios_replay_byte_identical_through_hier_engine() {
     assert_eq!(
